@@ -345,9 +345,8 @@ def run_adaptive_trials(
     contribution and runs in the parent only, so it need not pickle.
 
     Round ``r`` is one ``map_trials`` call over
-    ``[r*batch, min((r+1)*batch, max_frames))`` — retries, pool
-    rebuilds, and the ``batch_frames`` fast path all apply per round
-    unchanged.  Returns every per-trial result in trial order plus the
+    ``[r*batch, min((r+1)*batch, max_frames))`` — retries and pool
+    rebuilds apply per round unchanged.  Returns every per-trial result in trial order plus the
     stopping trajectory.
     """
     spec = SeedSpec.from_rng(rng)

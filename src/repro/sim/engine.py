@@ -53,7 +53,7 @@ from repro.obs import runtime as _obs_runtime
 from repro.radar.config import RadarConfig
 from repro.radar.fmcw import FMCWRadar, Scatterer
 from repro.tag.decoder_dsp import TagDecoder
-from repro.tag.frontend import AnalyticTagFrontend
+from repro.tag.frontend import AnalyticTagFrontend, TagCapture
 from repro.tag.modulator import UplinkModulator
 from repro.components.van_atta import VanAttaArray
 from repro.sim.executor import ExecutionPlan, map_trials
@@ -185,84 +185,35 @@ def _effective_snr_override(config: DownlinkTrialConfig) -> "float | None":
     return snr_override
 
 
-def _downlink_chunk(
-    config: DownlinkTrialConfig, spec: SeedSpec, indices
-) -> "list[tuple[int, int, int]]":
-    """One chunk of downlink frames -> (bit_errors, bits, sync_failed) per trial."""
-    budget = config.resolved_budget()
-    encoder = DownlinkEncoder(radar_config=config.radar_config, alphabet=config.alphabet)
-    impair = config.impairments if (
-        config.impairments is not None and config.impairments.active
-    ) else None
-    clock_offset_ppm = impair.clock_offset_ppm() if impair is not None else 0.0
-    decoder = TagDecoder(
-        config.alphabet, fields=config.fields, clock_offset_ppm=clock_offset_ppm
-    )
-    frontend = AnalyticTagFrontend(
-        budget=budget, delta_t_s=config.alphabet.decoder.delta_t_s
-    )
-    snr_override = _effective_snr_override(config)
-
-    bits_per_frame = config.payload_symbols_per_frame * config.alphabet.symbol_bits
-    results = []
-    for index in indices:
-        stream = spec.stream(index)
-        payload = random_bits(bits_per_frame, rng=stream)
-        packet = DownlinkPacket.from_bits(config.alphabet, payload, fields=config.fields)
-        frame = encoder.encode_packet(packet)
-        capture = frontend.capture(
-            frame,
-            config.distance_m,
-            rng=stream,
-            snr_override_db=snr_override,
-        )
-        if impair is not None:
-            capture = impair.apply_to_capture(capture, rng=stream)
-        counter = ErrorCounter()
-        sync_failed = 0
-        try:
-            if config.full_sync:
-                decoded = decoder.decode(
-                    capture, num_payload_symbols=config.payload_symbols_per_frame
-                )
-            else:
-                decoded = decoder.decode_aligned(
-                    capture, num_payload_symbols=config.payload_symbols_per_frame
-                )
-            counter.update(payload, decoded.bits)
-        except SyncError:
-            sync_failed = 1
-            counter.update(payload, np.empty(0, dtype=np.uint8))
-        results.append((counter.bit_errors, counter.bits_total, sync_failed))
-    if _obs_runtime._enabled:
-        # Incremented inside the (possibly worker) process; the executor
-        # serializes the registry delta back with the chunk results.
-        obs.inc("engine.downlink.trials", len(results))
-        obs.inc("engine.downlink.sync_failures", sum(r[2] for r in results))
-    return results
+#: Byte budget of one frame block's float64 sample rows.  A chunk is
+#: synthesized and decoded one block of frames at a time, so its working
+#: set stays flat however many trials it spans (with ``workers=1`` one
+#: chunk is the whole run).  1 MiB holds 40 frames of a 16-symbol packet
+#: at the tag's 1 MHz ADC rate, so a typical sweep point is one block.
+_FRAME_BLOCK_BYTES = 1 << 20
 
 
 class _DownlinkBatchLayout:
-    """Precomputed per-sweep-point geometry for the batched downlink path.
+    """Precomputed per-sweep-point geometry for batched frame synthesis.
 
-    Everything the per-frame path derives object-by-object — slot start
-    times, per-symbol chirp durations and slopes, the Gray bit->symbol map
-    — is tabulated once per chunk so synthesizing a whole chunk of frames
-    never touches ``DownlinkPacket`` / ``FrameSchedule`` / per-slot Python
-    loops.  Every table entry is produced by the *same* float expressions
-    the object path evaluates (``bandwidth / duration`` for slopes,
-    ``index * period`` for starts, ``gray_decode(packed bits)`` for
-    symbols), which is what keeps the fast path bit-identical.
+    Everything a per-frame encode derives object-by-object — slot start
+    times, per-symbol chirp durations and slopes, the Gray bit->symbol
+    map — is tabulated once per chunk so synthesizing a block of frames
+    never touches ``DownlinkPacket`` / ``FrameSchedule`` / per-slot
+    Python loops.  Every table entry is produced by the *same* float
+    expressions the object path evaluates (``bandwidth / duration`` for
+    slopes, ``index * period`` for starts, ``gray_decode(packed bits)``
+    for symbols), which is what keeps this path bit-identical to encoding
+    and capturing each frame alone.
     """
 
-    def __init__(self, config: DownlinkTrialConfig) -> None:
+    def __init__(self, config: DownlinkTrialConfig, fs: float) -> None:
         from repro.core.cssk import gray_decode
 
         alphabet = config.alphabet
-        # Runs the same platform-limit validation the per-frame encoder
-        # path performs, so both modes reject identical configurations.
-        DownlinkEncoder(radar_config=config.radar_config, alphabet=alphabet)
-        self.alphabet = alphabet
+        # Building the encoder runs its platform-limit validation, so
+        # configurations the radar cannot transmit are rejected up front.
+        self.encoder = DownlinkEncoder(radar_config=config.radar_config, alphabet=alphabet)
         self.num_payload = config.payload_symbols_per_frame
         fields = config.fields
         self.header_repeats = fields.header_repeats
@@ -274,7 +225,11 @@ class _DownlinkBatchLayout:
         )
         # FrameSchedule.duration_s is the last slot's end time: its start
         # (index * period) plus one period — replicate that float exactly.
-        self.duration_s = (self.num_slots - 1) * period + period
+        duration_s = (self.num_slots - 1) * period + period
+        self.fs = fs
+        self.total_samples = int(round(duration_s * fs))
+        if self.total_samples < 2:
+            raise SimulationError("frame too short for the tag ADC rate")
         bandwidth = alphabet.bandwidth_hz
         self.header_duration_s = alphabet.header_duration_s
         self.sync_duration_s = alphabet.sync_duration_s
@@ -317,32 +272,56 @@ class _DownlinkBatchLayout:
         slopes[:, preamble:] = self.data_slopes[symbols]
         return durations, slopes
 
+    def synthesize(self, frontend, distance_m, payloads, streams, snr_override_db):
+        """(frames, samples) captures of one block of payloads."""
+        from repro.tag.frontend import _synthesize_batch
 
-def _downlink_chunk_batched(
+        durations, slopes = self.slot_tables(self.payload_symbols(payloads))
+        return _synthesize_batch(
+            frontend,
+            fs=self.fs,
+            total_samples=self.total_samples,
+            distance_m=distance_m,
+            generators=streams,
+            start_samples=np.round(self.start_times_s * self.fs).astype(int),
+            start_times_s=self.start_times_s,
+            durations_s=durations,
+            slopes_hz_per_s=slopes,
+            absorptive=np.ones(self.num_slots, dtype=bool),
+            off_boresight_deg=0.0,
+            snr_override_db=snr_override_db,
+            wrap_fractions=None,
+        )
+
+
+def _downlink_chunk(
     config: DownlinkTrialConfig, spec: SeedSpec, indices
 ) -> "list[tuple[int, int, int]]":
-    """Batched-frame downlink chunk — bit-identical to :func:`_downlink_chunk`.
+    """One chunk of downlink frames -> (bit_errors, bits, sync_failed) per trial.
 
-    The chunk's frames are synthesized and decoded as stacked
-    ``(frames, samples)`` array ops (see
-    :func:`repro.tag.frontend._synthesize_batch` and
-    :meth:`repro.tag.decoder_dsp.TagDecoder.decode_aligned_batch`); trial
-    RNG streams are consumed in exactly the oracle's draw order, so the
-    per-trial tuples match the per-frame chunk bit for bit.  Partial
-    batching applies in two modes: active impairments keep per-frame
-    synthesis (injection needs per-capture slot metadata and its own RNG
-    draws) while still decoding the chunk batched, and ``full_sync``
-    keeps per-capture OTA decoding (period estimation + preamble search
-    is inherently sequential) on top of batched synthesis.  Only the
-    combination — ``full_sync`` *with* active impairments — falls back
-    wholesale, since neither stage can then be stacked.
+    Frames run in blocks of at most :data:`_FRAME_BLOCK_BYTES` of samples,
+    each synthesized and decoded as one stacked ``(frames, samples)``
+    array.  Synthesis and decode pick their routes independently:
+
+    * synthesis is layout-batched, or — with active impairments, whose
+      injection needs per-capture slot metadata and its own RNG draws —
+      one ``capture`` plus injection per frame;
+    * decode is :meth:`~repro.tag.decoder_dsp.TagDecoder.decode_aligned_batch`
+      over the block, or one OTA ``decode`` per capture under
+      ``full_sync`` (period estimation and preamble search are
+      sequential by nature).
+
+    Frame ``i`` draws from ``spec.stream(i)`` in the fixed order payload
+    bits, slot phases, noise, impairments (``decode`` draws nothing), so
+    the per-trial tuples do not depend on blocking, chunking or worker
+    count.
     """
     budget = config.resolved_budget()
+    fs = budget.adc.sample_rate_hz
+    layout = _DownlinkBatchLayout(config, fs)
     impair = config.impairments if (
         config.impairments is not None and config.impairments.active
     ) else None
-    if config.full_sync and impair is not None:
-        return _downlink_chunk(config, spec, indices)
     clock_offset_ppm = impair.clock_offset_ppm() if impair is not None else 0.0
     decoder = TagDecoder(
         config.alphabet, fields=config.fields, clock_offset_ppm=clock_offset_ppm
@@ -351,87 +330,65 @@ def _downlink_chunk_batched(
         budget=budget, delta_t_s=config.alphabet.decoder.delta_t_s
     )
     snr_override = _effective_snr_override(config)
+    ensure_positive("distance_m", config.distance_m)
     bits_per_frame = config.payload_symbols_per_frame * config.alphabet.symbol_bits
-    streams = [spec.stream(index) for index in indices]
-    payloads = [random_bits(bits_per_frame, rng=stream) for stream in streams]
-
-    if impair is not None:
-        encoder = DownlinkEncoder(
-            radar_config=config.radar_config, alphabet=config.alphabet
-        )
-        captures = []
-        for payload, stream in zip(payloads, streams):
-            packet = DownlinkPacket.from_bits(config.alphabet, payload, fields=config.fields)
-            frame = encoder.encode_packet(packet)
-            capture = frontend.capture(
-                frame, config.distance_m, rng=stream, snr_override_db=snr_override
-            )
-            captures.append(impair.apply_to_capture(capture, rng=stream))
-    else:
-        from repro.tag.frontend import TagCapture, _synthesize_batch
-
-        layout = _DownlinkBatchLayout(config)
-        fs = budget.adc.sample_rate_hz
-        total_samples = int(round(layout.duration_s * fs))
-        if total_samples < 2:
-            raise SimulationError("frame too short for the tag ADC rate")
-        ensure_positive("distance_m", config.distance_m)
-        symbols = layout.payload_symbols(payloads)
-        durations, slopes = layout.slot_tables(symbols)
-        with obs.span("engine.downlink.batch.synthesize", frames=len(streams)):
-            block = _synthesize_batch(
-                frontend,
-                fs=fs,
-                total_samples=total_samples,
-                distance_m=config.distance_m,
-                generators=streams,
-                start_samples=np.round(layout.start_times_s * fs).astype(int),
-                start_times_s=layout.start_times_s,
-                durations_s=durations,
-                slopes_hz_per_s=slopes,
-                absorptive=np.ones(layout.num_slots, dtype=bool),
-                off_boresight_deg=0.0,
-                snr_override_db=snr_override,
-                wrap_fractions=None,
-            )
-        captures = [
-            TagCapture(samples=block[row], sample_rate_hz=fs)
-            for row in range(len(streams))
-        ]
-
+    frames_per_block = max(1, _FRAME_BLOCK_BYTES // (8 * layout.total_samples))
     results = []
-    if config.full_sync:
-        # OTA sync: batched synthesis above, but period estimation and
-        # preamble search stay per capture.  decode() draws no RNG, so the
-        # oracle's stream order is already fully consumed at this point.
-        with obs.span("engine.downlink.batch.decode_full_sync", frames=len(captures)):
-            for payload, capture in zip(payloads, captures):
-                counter = ErrorCounter()
-                sync_failed = 0
-                try:
-                    decoded = decoder.decode(
-                        capture, num_payload_symbols=config.payload_symbols_per_frame
+    for lo in range(0, len(indices), frames_per_block):
+        streams = [spec.stream(index) for index in indices[lo : lo + frames_per_block]]
+        payloads = [random_bits(bits_per_frame, rng=stream) for stream in streams]
+        with obs.span("engine.downlink.synthesize", frames=len(streams)):
+            if impair is None:
+                block = layout.synthesize(
+                    frontend, config.distance_m, payloads, streams, snr_override
+                )
+            else:
+                block = np.empty((len(streams), layout.total_samples))
+                for row, (payload, stream) in enumerate(zip(payloads, streams)):
+                    packet = DownlinkPacket.from_bits(
+                        config.alphabet, payload, fields=config.fields
                     )
-                    counter.update(payload, decoded.bits)
-                except SyncError:
-                    sync_failed = 1
-                    counter.update(payload, np.empty(0, dtype=np.uint8))
-                results.append((counter.bit_errors, counter.bits_total, sync_failed))
-    else:
-        with obs.span("engine.downlink.batch.decode", frames=len(captures)):
-            decoded = decoder.decode_aligned_batch(
-                captures, num_payload_symbols=config.payload_symbols_per_frame
-            )
-        for payload, packet in zip(payloads, decoded):
+                    capture = frontend.capture(
+                        layout.encoder.encode_packet(packet),
+                        config.distance_m,
+                        rng=stream,
+                        snr_override_db=snr_override,
+                    )
+                    block[row] = impair.apply_to_capture(capture, rng=stream).samples
+        with obs.span("engine.downlink.decode", frames=len(streams)):
+            if config.full_sync:
+                received = [_decode_full_sync(decoder, config, row, fs) for row in block]
+            else:
+                received = [
+                    packet.bits
+                    for packet in decoder.decode_aligned_batch(
+                        block,
+                        sample_rate_hz=fs,
+                        num_payload_symbols=config.payload_symbols_per_frame,
+                    )
+                ]
+        del block  # freed before the next block is synthesized
+        for payload, bits in zip(payloads, received):
             counter = ErrorCounter()
-            counter.update(payload, packet.bits)
-            # decode_aligned never loses sync (genie alignment), matching the
-            # per-frame chunk's always-zero sync_failed in this mode.
-            results.append((counter.bit_errors, counter.bits_total, 0))
+            counter.update(payload, np.empty(0, dtype=np.uint8) if bits is None else bits)
+            results.append((counter.bit_errors, counter.bits_total, int(bits is None)))
     if _obs_runtime._enabled:
+        # Incremented inside the (possibly worker) process; the executor
+        # serializes the registry delta back with the chunk results.
         obs.inc("engine.downlink.trials", len(results))
         obs.inc("engine.downlink.sync_failures", sum(r[2] for r in results))
     return results
+
+
+def _decode_full_sync(decoder, config, samples, fs) -> "np.ndarray | None":
+    """OTA-synced payload bits of one capture; None when sync is lost."""
+    try:
+        return decoder.decode(
+            TagCapture(samples=samples, sample_rate_hz=fs),
+            num_payload_symbols=config.payload_symbols_per_frame,
+        ).bits
+    except SyncError:
+        return None
 
 
 def _replay_downlink_trials(payload) -> "dict":
@@ -502,22 +459,15 @@ def run_downlink_trials(
 
     budget = config.resolved_budget()
     plan = execution if execution is not None else ExecutionPlan()
-    # Both chunk bodies are bit-identical by contract (the differential
-    # suite enforces it), so the store fingerprint deliberately excludes
-    # the execution plan: batched and per-frame runs share cache entries.
-    chunk_fn = _downlink_chunk_batched if plan.batch_frames else _downlink_chunk
     trajectory = None
     if adaptive is not None:
         from repro.sim.adaptive import run_adaptive_trials
 
         with obs.span(
-            "engine.downlink",
-            max_frames=adaptive.max_frames,
-            batched=plan.batch_frames,
-            adaptive=True,
+            "engine.downlink", max_frames=adaptive.max_frames, adaptive=True
         ):
             outcome = run_adaptive_trials(
-                chunk_fn,
+                _downlink_chunk,
                 config,
                 adaptive,
                 spec,
@@ -527,11 +477,9 @@ def run_downlink_trials(
         per_trial = outcome.per_trial
         trajectory = outcome.summary()
     else:
-        with obs.span(
-            "engine.downlink", frames=config.num_frames, batched=plan.batch_frames
-        ):
+        with obs.span("engine.downlink", frames=config.num_frames):
             per_trial, _report = map_trials(
-                chunk_fn, config, config.num_frames, spec, plan
+                _downlink_chunk, config, config.num_frames, spec, plan
             )
     counter = ErrorCounter()
     sync_failures = 0

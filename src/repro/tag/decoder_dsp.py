@@ -30,6 +30,10 @@ from repro.core.packet import PacketFields
 from repro.errors import SyncError
 from repro.tag.frontend import TagCapture
 
+#: Bytes of hypothesis projections :meth:`TagDecoder._score_windows` holds
+#: at once; larger window batches are scored in row blocks of this size.
+_SCORE_BLOCK_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class PeriodEstimate:
@@ -249,19 +253,21 @@ class TagDecoder:
         table = self._hypothesis_table(fs)
         n_slot = max(int(round(self.alphabet.chirp_period_s * fs)), 4)
         projectors = np.zeros((len(table), 3, n_slot))
-        lengths = np.zeros(len(table), dtype=int)
         for row, (_, _, beat, n_on) in enumerate(table):
-            n_eff = min(n_on, n_slot)
             projectors[row] = _cached_slot_projector(
-                float(beat), int(n_eff), int(n_slot), float(fs)
+                float(beat), int(min(n_on, n_slot)), int(n_slot), float(fs)
             )
-            lengths[row] = n_eff
+        # The table lists header, sync, then the data symbols ascending, so
+        # the data hypotheses are one contiguous slice (a view, no copy).
+        data = slice(2, len(table))
         cache = {
             "fs": fs,
             "table": table,
             "projectors": projectors,
-            "lengths": lengths,
             "n_slot": n_slot,
+            "data_projectors": projectors[data],
+            "data_symbols": np.array([entry[1] for entry in table[data]], dtype=int),
+            "data_beats": np.array([entry[2] for entry in table[data]]),
         }
         self._score_cache = cache
         return cache
@@ -275,28 +281,17 @@ class TagDecoder:
         explained energy of the hypothesis' gated DC + tone model over the
         slot (see :meth:`_slot_projector`).  All hypotheses span the same
         slot with the same model dimension, so scores compare directly.
+        The single-slot form of :meth:`score_slots`.
         """
-        x = np.asarray(slot_samples, dtype=float)
-        cache = self._scoring_cache(fs)
-        table = cache["table"]
-        n_slot = cache["n_slot"]
-        if x.size >= n_slot:
-            window = x[:n_slot]
-        else:
-            window = np.zeros(n_slot)
-            window[: x.size] = x
-        components = cache["projectors"] @ window  # (H, 3)
-        scores = np.sum(components**2, axis=1)
-        results = []
-        for row, (kind, symbol, beat, _) in enumerate(table):
-            results.append((kind, symbol, beat, float(scores[row])))
-        return results
+        scores = self.score_slots([slot_samples], fs)[0]
+        return [
+            (kind, symbol, beat, float(score))
+            for (kind, symbol, beat, _), score in zip(self._scoring_cache(fs)["table"], scores)
+        ]
 
     def classify_slot(self, slot_samples: np.ndarray, fs: float) -> tuple[str, int | None, float]:
         """Best hypothesis (kind, symbol, beat) for one slot."""
-        scores = self.score_slot(slot_samples, fs)
-        kind, symbol, beat, _ = max(scores, key=lambda entry: entry[3])
-        return kind, symbol, beat
+        return self.classify_slots([slot_samples], fs)[0]
 
     def demodulate_data_slot(self, slot_samples: np.ndarray, fs: float) -> tuple[int, float]:
         """ML data symbol for a slot known to carry payload.
@@ -305,11 +300,8 @@ class TagDecoder:
         guarantees payload slots carry data) is both faster and the correct
         ML decision.
         """
-        scores = [
-            entry for entry in self.score_slot(slot_samples, fs) if entry[0] == "data"
-        ]
-        kind, symbol, beat, _ = max(scores, key=lambda entry: entry[3])
-        return int(symbol), float(beat)
+        symbols, beats = self.demodulate_data_slots([slot_samples], fs)
+        return int(symbols[0]), float(beats[0])
 
     # ------------------------------------------------------------------ batched
 
@@ -317,8 +309,8 @@ class TagDecoder:
         """Stack slot sample rows into a ``(batch, n_slot)`` window matrix.
 
         Accepts a 2-D array (uniform row length) or a sequence of 1-D
-        arrays (possibly different lengths); every row is padded/truncated
-        to ``n_slot`` exactly as :meth:`score_slot` does.  An empty batch
+        arrays (possibly different lengths); every row is zero-padded or
+        truncated to ``n_slot``.  An empty batch
         is a caller error (mirrors :class:`~repro.sim.executor.ChunkTiming`
         rejecting zero-trial chunks).
         """
@@ -345,104 +337,102 @@ class TagDecoder:
             windows[index, :n] = x[:n]
         return windows
 
-    def _score_windows(self, windows: np.ndarray, cache: dict) -> np.ndarray:
+    @staticmethod
+    def _score_windows(windows: np.ndarray, projectors: np.ndarray) -> np.ndarray:
         """(batch, num_hypotheses) score matrix for padded slot windows.
 
         The stacked product keeps an explicit trailing column axis
         (``matmul(P, W[:, None, :, None])``) so BLAS applies the *same*
-        per-slice matrix-vector kernel as the per-frame ``P @ w`` — scores
-        are bitwise equal to :meth:`score_slot` row by row, which keeps
-        every argmax decision (and the golden BER pins) identical.
+        per-slice matrix-vector kernel to every window — each row's scores
+        are bitwise independent of what else is in the batch, which keeps
+        every argmax decision (and the golden BER pins) identical to the
+        single-slot form.  Rows are scored in blocks of
+        :data:`_SCORE_BLOCK_BYTES` worth of projections, squared in place,
+        so the working set stays flat however many windows arrive.
         """
-        components = np.matmul(cache["projectors"], windows[:, None, :, None])[..., 0]
-        return np.sum(components**2, axis=2)
+        per_row = projectors.shape[0] * projectors.shape[1] * 8
+        step = max(1, _SCORE_BLOCK_BYTES // per_row)
+        scores = np.empty((windows.shape[0], projectors.shape[0]))
+        for lo in range(0, windows.shape[0], step):
+            block = windows[lo : lo + step]
+            components = np.matmul(projectors, block[:, None, :, None])[..., 0]
+            np.square(components, out=components)
+            np.sum(components, axis=2, out=scores[lo : lo + step])
+        return scores
 
     def score_slots(self, slot_samples, fs: float) -> np.ndarray:
         """Score every hypothesis on a batch of slots.
 
         ``slot_samples`` is ``(batch, n)`` (or a sequence of 1-D arrays);
-        returns a ``(batch, num_hypotheses)`` array whose row ``b`` equals,
-        bitwise, the scores :meth:`score_slot` reports for row ``b``.
+        returns a ``(batch, num_hypotheses)`` array whose row ``b`` holds
+        the scores :meth:`score_slot` reports for row ``b``, bitwise.
         Hypothesis order matches the table exposed via
         :meth:`score_slot` (header, sync, then data symbols ascending).
         """
         cache = self._scoring_cache(fs)
         windows = self._window_matrix(slot_samples, cache["n_slot"])
-        return self._score_windows(windows, cache)
+        return self._score_windows(windows, cache["projectors"])
 
     def classify_slots(self, slot_samples, fs: float) -> "list[tuple[str, int | None, float]]":
-        """Batched :meth:`classify_slot`: best (kind, symbol, beat) per slot."""
-        cache = self._scoring_cache(fs)
-        scores = self.score_slots(slot_samples, fs)
-        table = cache["table"]
-        best = np.argmax(scores, axis=1)  # first max, like max() on the table
-        return [
-            (table[row][0], table[row][1], table[row][2]) for row in best
-        ]
+        """Best (kind, symbol, beat) per slot over a batch of slots."""
+        table = self._scoring_cache(fs)["table"]
+        best = np.argmax(self.score_slots(slot_samples, fs), axis=1)  # first max
+        return [(table[row][0], table[row][1], table[row][2]) for row in best]
 
     def demodulate_data_slots(self, slot_samples, fs: float) -> "tuple[np.ndarray, np.ndarray]":
-        """Batched :meth:`demodulate_data_slot` over payload slots.
+        """ML data symbol per payload slot over a batch of slots.
 
         Returns ``(symbols, beats)`` arrays; entry ``b`` is bit-identical
-        to ``demodulate_data_slot(slot_samples[b], fs)``.
+        to ``demodulate_data_slot(slot_samples[b], fs)``.  Only the
+        data-hypothesis scores feed the argmax, and the stacked matmul
+        computes each hypothesis slice independently, so scoring against
+        the data rows of the projector stack alone yields the same scores
+        — bitwise — as scoring every row and slicing.
         """
         cache = self._scoring_cache(fs)
-        scores = self.score_slots(slot_samples, fs)
-        data_rows = np.array(
-            [row for row, entry in enumerate(cache["table"]) if entry[0] == "data"]
-        )
-        data_symbols = np.array(
-            [cache["table"][row][1] for row in data_rows], dtype=int
-        )
-        data_beats = np.array([cache["table"][row][2] for row in data_rows])
-        pick = np.argmax(scores[:, data_rows], axis=1)
-        return data_symbols[pick], data_beats[pick]
+        windows = self._window_matrix(slot_samples, cache["n_slot"])
+        scores = self._score_windows(windows, cache["data_projectors"])
+        pick = np.argmax(scores, axis=1)
+        return cache["data_symbols"][pick], cache["data_beats"][pick]
 
     def decode_aligned_batch(
         self,
-        captures: "list[TagCapture]",
+        captures,
         *,
         num_payload_symbols: int,
         skip_slots: int | None = None,
+        sample_rate_hz: float | None = None,
     ) -> "list[DecodedPacket]":
-        """Batched :meth:`decode_aligned` over equal-length captures.
+        """Decode many equal-length captures with genie-aided alignment.
 
-        Packet ``b`` of the result is bit-identical (bits, symbols,
-        measured beats, metadata) to ``decode_aligned(captures[b], ...)``:
-        each payload slot's windows are scored for the whole batch in one
-        stacked product instead of one Python-level scoring pass per slot
-        per frame.  Raises ``ValueError`` for an empty batch or a ragged
-        one (captures must share sample rate and sample count — the
-        executor's per-chunk trials always do).
+        ``captures`` is a list of :class:`TagCapture` or a ``(batch, n)``
+        block of sample rows (then ``sample_rate_hz`` is required); the
+        block is read in place, never copied.  Packet ``b`` of the result
+        is bit-identical (bits, symbols, measured beats, metadata) to
+        ``decode_aligned`` on capture ``b`` alone: each payload slot's
+        windows are scored for the whole batch in one stacked product
+        instead of one Python-level scoring pass per slot per frame.
+        Raises ``ValueError`` for an empty batch or a ragged one (captures
+        must share sample rate and sample count — the executor's per-chunk
+        trials always do).
         """
         if num_payload_symbols < 1:
             raise ValueError(f"num_payload_symbols must be >= 1, got {num_payload_symbols}")
-        if not captures:
-            raise ValueError("decode_aligned_batch requires at least one capture")
-        fs = captures[0].sample_rate_hz
-        size = captures[0].samples.size
-        for index, capture in enumerate(captures):
-            if capture.sample_rate_hz != fs or capture.samples.size != size:
-                raise ValueError(
-                    f"ragged capture batch: capture {index} has "
-                    f"{capture.samples.size} samples at {capture.sample_rate_hz} Hz, "
-                    f"capture 0 has {size} at {fs} Hz"
-                )
+        stacked, fs = self._sample_block(captures, sample_rate_hz)
+        batch, size = stacked.shape
         start_slot = self.fields.preamble_length if skip_slots is None else skip_slots
         period = PeriodEstimate(
             period_s=self.alphabet.chirp_period_s,
             first_chirp_start_s=0.0,
             confidence=1.0,
         )
-        stacked = np.stack([np.asarray(c.samples, dtype=float) for c in captures])
         cache = self._scoring_cache(fs)
         n_slot = cache["n_slot"]
-        batch = len(captures)
-        # One preallocated (K*batch, n_slot) window matrix, filled slot by
-        # slot: the zero initialization doubles as the short-slot padding
-        # the per-capture oracle applies.
-        windows_full = np.zeros((num_payload_symbols * batch, n_slot))
-        num_blocks = 0
+        # Payload slots are scored one at a time, so the working set is one
+        # (batch, n_slot) window and one (batch, H) score matrix whatever
+        # the payload length.
+        window = np.empty((batch, n_slot))
+        symbols_rows, beats_rows = [], []
         for k in range(start_slot, start_slot + num_payload_symbols):
             begin = int(round(k * self.alphabet.chirp_period_s * fs))
             end = int(round((k + 1) * self.alphabet.chirp_period_s * fs))
@@ -451,33 +441,14 @@ class TagDecoder:
             width = min(end, size) - begin
             if width < 4:
                 break
-            rows = windows_full[num_blocks * batch : (num_blocks + 1) * batch]
-            if width >= n_slot:
-                rows[:] = stacked[:, begin : begin + n_slot]
-            else:
-                rows[:, :width] = stacked[:, begin : begin + width]
-            num_blocks += 1
-        if num_blocks:
-            windows = windows_full[: num_blocks * batch]
-            data_rows = np.array(
-                [row for row, entry in enumerate(cache["table"]) if entry[0] == "data"]
-            )
-            data_symbols = np.array(
-                [cache["table"][row][1] for row in data_rows], dtype=int
-            )
-            data_beats = np.array([cache["table"][row][2] for row in data_rows])
-            # Only the data-hypothesis scores feed the argmax, and the
-            # stacked matmul computes each hypothesis slice independently,
-            # so restricting the projector stack to the data rows yields
-            # the same scores — bitwise — as scoring all rows and slicing.
-            data_cache = {"projectors": cache["projectors"][data_rows]}
-            scores = self._score_windows(windows, data_cache)
-            pick = np.argmax(scores, axis=1)
-            symbols_grid = data_symbols[pick].reshape(num_blocks, batch)
-            beats_grid = data_beats[pick].reshape(num_blocks, batch)
-        else:
-            symbols_grid = np.empty((0, len(captures)), dtype=int)
-            beats_grid = np.empty((0, len(captures)))
+            width = min(width, n_slot)
+            window[:, :width] = stacked[:, begin : begin + width]
+            window[:, width:] = 0.0  # the single-slot scorer's zero padding
+            pick = np.argmax(self._score_windows(window, cache["data_projectors"]), axis=1)
+            symbols_rows.append(cache["data_symbols"][pick])
+            beats_rows.append(cache["data_beats"][pick])
+        symbols_grid = np.array(symbols_rows, dtype=int).reshape(-1, batch)
+        beats_grid = np.array(beats_rows, dtype=float).reshape(-1, batch)
         bits_table = np.stack(
             [
                 self.alphabet.bits_for_symbol(s)
@@ -485,12 +456,12 @@ class TagDecoder:
             ]
         )
         # Column-major copies so the per-packet views below are cheap;
-        # ``tolist`` yields the same Python ints / float64 values the
-        # per-capture oracle accumulates one slot at a time.
+        # ``tolist`` yields the same Python ints / float64 values a
+        # slot-at-a-time decode accumulates.
         symbols_by_capture = np.ascontiguousarray(symbols_grid.T)
         beats_by_capture = np.ascontiguousarray(beats_grid.T)
         packets: "list[DecodedPacket]" = []
-        for b in range(len(captures)):
+        for b in range(batch):
             symbols = symbols_by_capture[b].tolist()
             bits = (
                 bits_table[symbols_by_capture[b]].reshape(-1)
@@ -508,6 +479,30 @@ class TagDecoder:
                 )
             )
         return packets
+
+    @staticmethod
+    def _sample_block(captures, sample_rate_hz) -> "tuple[np.ndarray, float]":
+        """The ``(batch, n)`` float sample block and rate of a capture batch."""
+        if isinstance(captures, np.ndarray):
+            if sample_rate_hz is None:
+                raise ValueError("a sample block needs sample_rate_hz")
+            if captures.ndim != 2 or captures.shape[0] == 0:
+                raise ValueError(
+                    f"a sample block must be (batch >= 1, n), got shape {captures.shape}"
+                )
+            return np.asarray(captures, dtype=float), sample_rate_hz
+        if not captures:
+            raise ValueError("decode_aligned_batch requires at least one capture")
+        fs = captures[0].sample_rate_hz
+        size = captures[0].samples.size
+        for index, capture in enumerate(captures):
+            if capture.sample_rate_hz != fs or capture.samples.size != size:
+                raise ValueError(
+                    f"ragged capture batch: capture {index} has "
+                    f"{capture.samples.size} samples at {capture.sample_rate_hz} Hz, "
+                    f"capture 0 has {size} at {fs} Hz"
+                )
+        return np.stack([np.asarray(c.samples, dtype=float) for c in captures]), fs
 
     # ------------------------------------------------------------------ packets
 
@@ -717,39 +712,12 @@ class TagDecoder:
 
         Used by benches isolating *symbol-level* BER from synchronization
         effects, and by the ISAC session when the tag has already locked to
-        the radar's timing in a previous packet.
+        the radar's timing in a previous packet.  The single-capture form
+        of :meth:`decode_aligned_batch`.
         """
-        if num_payload_symbols < 1:
-            raise ValueError(f"num_payload_symbols must be >= 1, got {num_payload_symbols}")
-        start_slot = self.fields.preamble_length if skip_slots is None else skip_slots
-        period = PeriodEstimate(
-            period_s=self.alphabet.chirp_period_s,
-            first_chirp_start_s=0.0,
-            confidence=1.0,
-        )
-        fs = capture.sample_rate_hz
-        symbols: list[int] = []
-        beats: list[float] = []
-        for k in range(start_slot, start_slot + num_payload_symbols):
-            samples = self._slot_window(capture, 0.0, self.alphabet.chirp_period_s, k)
-            if samples.size < 4:
-                break
-            symbol, beat = self.demodulate_data_slot(samples, fs)
-            symbols.append(symbol)
-            beats.append(beat)
-        bits = (
-            np.concatenate([self.alphabet.bits_for_symbol(s) for s in symbols])
-            if symbols
-            else np.empty(0, dtype=np.uint8)
-        )
-        return DecodedPacket(
-            bits=bits,
-            symbols=symbols,
-            measured_beats_hz=np.asarray(beats),
-            period=period,
-            payload_start_slot=start_slot,
-            num_sync_slots_seen=self.fields.sync_repeats,
-        )
+        return self.decode_aligned_batch(
+            [capture], num_payload_symbols=num_payload_symbols, skip_slots=skip_slots
+        )[0]
 
 
 @lru_cache(maxsize=1024)

@@ -93,6 +93,9 @@ class AnalyticTagFrontend:
     ) -> TagCapture:
         """Simulate the ADC stream the tag records across ``frame``.
 
+        The single-frame form of :meth:`capture_batch` (one stacked
+        synthesis pass over a batch of one).
+
         Parameters
         ----------
         distance_m:
@@ -112,64 +115,15 @@ class AnalyticTagFrontend:
             the decoder sees as the beat tone restarting its phase there.
             ``None`` or NaN entries mean no wrap (plain CSSK chirps).
         """
-        ensure_positive("distance_m", distance_m)
-        generator = resolve_rng(rng)
-        fs = self.budget.adc.sample_rate_hz
-        total_samples = int(round(frame.duration_s * fs))
-        if total_samples < 2:
-            raise SimulationError("frame too short for the tag ADC rate")
-        amplitude = self.budget.video_beat_amplitude_v(
-            distance_m, off_boresight_deg=off_boresight_deg
-        )
-        noise_rms = self.budget.video_noise_rms_v()
-        if snr_override_db is not None:
-            # video SNR = (amplitude^2 / 2) / noise^2  =>  rescale noise.
-            target_linear = 10.0 ** (snr_override_db / 10.0)
-            noise_rms = float(np.sqrt(amplitude**2 / 2.0 / target_linear))
-        if absorptive_slots is not None:
-            absorptive = np.asarray(absorptive_slots, dtype=bool)
-            if absorptive.size != len(frame):
-                raise SimulationError(
-                    f"absorptive_slots has {absorptive.size} entries for a "
-                    f"{len(frame)}-slot frame"
-                )
-        else:
-            absorptive = np.ones(len(frame), dtype=bool)
-
-        signal = np.zeros(total_samples)
-        for slot_index, slot in enumerate(frame.slots):
-            if not absorptive[slot_index]:
-                continue
-            start = int(round(slot.start_time_s * fs))
-            stop = min(int(round((slot.start_time_s + slot.chirp.duration_s) * fs)), total_samples)
-            if stop <= start:
-                continue
-            n = stop - start
-            t = np.arange(n) / fs
-            beat_hz = slot.chirp.slope_hz_per_s * self.delta_t_s
-            phase0 = generator.uniform(0.0, 2.0 * np.pi)
-            rolloff = self.budget.detector.video_gain_at(beat_hz)
-            wrap = (
-                float(wrap_fractions[slot_index])
-                if wrap_fractions is not None
-                else float("nan")
-            )
-            if np.isfinite(wrap) and 0.0 < wrap < 1.0:
-                # Sweep wrap at fraction `wrap`: the beat tone restarts its
-                # phase there (see repro.core.css for the derivation).
-                wrap_time = wrap * slot.chirp.duration_s
-                shifted = np.where(t < wrap_time, t, t - wrap_time)
-                tone = rolloff * np.cos(2.0 * np.pi * beat_hz * shifted + phase0)
-            else:
-                tone = rolloff * np.cos(2.0 * np.pi * beat_hz * t + phase0)
-            if self.include_dc:
-                signal[start:stop] = amplitude * (1.0 + tone)
-            else:
-                signal[start:stop] = amplitude * tone
-
-        noisy = signal + generator.normal(0.0, noise_rms, total_samples)
-        sampled = self.budget.adc.quantize(noisy) if _adc_in_range(self.budget.adc, noisy) else noisy
-        return TagCapture(samples=sampled, sample_rate_hz=fs, frame=frame)
+        return self.capture_batch(
+            [frame],
+            distance_m,
+            rngs=[rng],
+            absorptive_slots=absorptive_slots,
+            off_boresight_deg=off_boresight_deg,
+            snr_override_db=snr_override_db,
+            wrap_fractions=wrap_fractions,
+        )[0]
 
     def capture_batch(
         self,
@@ -182,16 +136,17 @@ class AnalyticTagFrontend:
         snr_override_db: float | None = None,
         wrap_fractions: np.ndarray | None = None,
     ) -> "list[TagCapture]":
-        """Batched :meth:`capture`: one vectorized pass over many frames.
+        """Simulate the ADC streams of many frames in one vectorized pass.
 
-        Bit-exact oracle contract: ``capture_batch(frames, d, rngs=gens)``
-        returns captures whose samples equal, bitwise, the sequential
-        ``[capture(f, d, rng=g) for f, g in zip(frames, gens)]`` — each
-        frame consumes its generator in the identical draw order (one
-        uniform phase per active slot in slot order, then the noise
-        vector).  The heavy math (tone synthesis, noise add, conditional
-        quantization) runs as a handful of ``(batch, n_samples)`` array
-        ops instead of a per-slot Python loop.
+        Bit-exact contract: ``capture_batch(frames, d, rngs=gens)`` returns
+        captures whose samples equal, bitwise, capturing each frame alone
+        with its own generator — each frame consumes its generator in the
+        identical draw order (one uniform phase per active slot in slot
+        order, then the noise vector).  The heavy math (tone synthesis,
+        noise add, conditional quantization) runs as a handful of
+        ``(batch, n_samples)`` array ops instead of a per-slot Python
+        loop.  The per-frame reference it is held to lives in the test
+        suite (``tests/oracle.py``).
 
         Constraints (``SimulationError`` otherwise): the batch is
         non-empty, every frame has the same slot count, the same slot
@@ -317,9 +272,9 @@ def _synthesize_batch(
     wrap_fractions: np.ndarray | None,
 ) -> np.ndarray:
     """The vectorized core shared by :meth:`AnalyticTagFrontend.capture_batch`
-    and the engine's layout-based fast path.
+    and the downlink engine's layout-based synthesis.
 
-    Replicates :meth:`AnalyticTagFrontend.capture` bit-for-bit: identical
+    Replicates the per-frame reference capture bit-for-bit: identical
     per-frame RNG draw order (per-active-slot uniform phases in slot order,
     then one noise vector), identical sample-index rounding, identical
     elementwise arithmetic — only restructured so the tone synthesis and
@@ -335,7 +290,7 @@ def _synthesize_batch(
         target_linear = 10.0 ** (snr_override_db / 10.0)
         noise_rms = float(np.sqrt(amplitude**2 / 2.0 / target_linear))
 
-    # Stop indices exactly as the per-frame oracle rounds them:
+    # Stop indices exactly as the per-frame reference rounds them:
     # round((start_time + duration) * fs), clamped to the capture length.
     stop_samples = np.minimum(
         np.round((start_times_s[None, :] + durations_s) * fs).astype(int),
@@ -412,28 +367,19 @@ def _synthesize_batch(
     for row, generator in enumerate(generators):
         signal[row] += generator.normal(0.0, noise_rms, total_samples)
 
-    # Conditional quantization per frame, as _adc_in_range decides per
-    # capture; quantize_uniform is elementwise, so quantizing the selected
-    # rows as a block is bit-identical to per-row calls.
+    # Quantize a frame only when its peak is within ~the ADC range.  The
+    # budget's default 1 V full scale is far above the uV-level video
+    # signals; quantizing there would floor everything to +/- LSB/2 noise,
+    # which real systems avoid with a video amplifier.  That amplifier is
+    # modelled implicitly: a tiny signal skips quantization (the amplifier
+    # would rescale it into range).  max(|x|) is taken as max(max, -min)
+    # and hot rows are quantized one at a time, so no block-sized
+    # temporary is ever allocated.
     adc = frontend.budget.adc
-    peaks = np.max(np.abs(signal), axis=1)
-    hot = peaks > 10.0 * adc.lsb_v
-    if np.any(hot):
-        signal[hot] = adc.quantize(signal[hot])
+    peaks = np.maximum(signal.max(axis=1), -signal.min(axis=1))
+    for row in np.flatnonzero(peaks > 10.0 * adc.lsb_v):
+        signal[row] = adc.quantize(signal[row])
     return signal
-
-
-def _adc_in_range(adc: ADC, signal: np.ndarray) -> bool:
-    """Quantize only when the signal is within ~the ADC range.
-
-    The budget's default 1 V full scale is far above the uV-level video
-    signals; quantizing there would floor everything to +/- LSB/2 noise,
-    which real systems avoid with a video amplifier.  We model that
-    amplifier implicitly: when the signal is tiny relative to full scale we
-    skip quantization (the amplifier would rescale into range).
-    """
-    peak = float(np.max(np.abs(signal))) if signal.size else 0.0
-    return peak > 10.0 * adc.lsb_v
 
 
 @dataclass

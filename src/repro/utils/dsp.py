@@ -271,43 +271,20 @@ def sliding_windows(samples: np.ndarray, spec: SlidingWindowSpec) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides, writeable=False)
 
 
-def envelope_rc_lowpass(
+def envelope_rc_lowpass_fast(
     samples: np.ndarray, sample_rate_hz: float, cutoff_hz: float
 ) -> np.ndarray:
     """First-order RC low-pass filter (the envelope detector's smoothing).
 
-    A single-pole IIR with time constant ``1 / (2*pi*cutoff)``; matches the
-    behaviour of the detector's internal RC network well enough for
-    behavioural simulation.  This per-sample loop is the *reference oracle*
-    for :func:`envelope_rc_lowpass_fast` and stays 1-D on purpose.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim > 1:
-        raise ConfigurationError(
-            f"envelope_rc_lowpass is the 1-D reference oracle, got shape {x.shape}; "
-            "use envelope_rc_lowpass_fast for batched input"
-        )
-    if sample_rate_hz <= 0 or cutoff_hz <= 0:
-        raise ConfigurationError("sample_rate_hz and cutoff_hz must be positive")
-    dt = 1.0 / sample_rate_hz
-    alpha = dt / (dt + 1.0 / (2.0 * np.pi * cutoff_hz))
-    out = np.empty_like(x)
-    acc = x[0] if x.size else 0.0
-    for i, sample in enumerate(x):
-        acc += alpha * (sample - acc)
-        out[i] = acc
-    return out
-
-
-def envelope_rc_lowpass_fast(
-    samples: np.ndarray, sample_rate_hz: float, cutoff_hz: float
-) -> np.ndarray:
-    """Vectorized equivalent of :func:`envelope_rc_lowpass` using lfilter.
+    A single-pole IIR with time constant ``1 / (2*pi*cutoff)``, run through
+    ``lfilter``; matches the behaviour of the detector's internal RC
+    network well enough for behavioural simulation.
 
     Accepts a leading batch axis: a ``(..., n)`` input is filtered along
     the last axis with per-row initial conditions, and every row of the
     result is bit-identical to filtering that row alone (``lfilter`` runs
-    the same per-row recursion for either layout).
+    the same per-row recursion for either layout).  The per-sample
+    reference loop it is checked against lives in ``tests/oracle.py``.
     """
     from scipy.signal import lfilter
 

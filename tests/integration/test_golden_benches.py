@@ -24,7 +24,10 @@ import pytest
 from repro.core.cssk import CsskAlphabet, DecoderDesign
 from repro.radar.config import XBAND_9GHZ
 from repro.sim.engine import DownlinkTrialConfig, run_downlink_trials
-from repro.sim.executor import ExecutionPlan
+from repro.sim.executor import ExecutionPlan, map_trials
+from repro.utils.rng import SeedSpec
+
+import oracle
 
 NUM_FRAMES = 12
 SYMBOLS_PER_FRAME = 8
@@ -58,7 +61,7 @@ GOLDEN_POINTS = [
 ]
 
 
-def _run_point(bandwidth_hz, symbol_bits, delta_l_inches, distance_m, execution=None):
+def _point_config(bandwidth_hz, symbol_bits, delta_l_inches, distance_m):
     alphabet = CsskAlphabet.design(
         bandwidth_hz=bandwidth_hz,
         decoder=DecoderDesign.from_inches(delta_l_inches),
@@ -66,13 +69,17 @@ def _run_point(bandwidth_hz, symbol_bits, delta_l_inches, distance_m, execution=
         chirp_period_s=120e-6,
         min_chirp_duration_s=20e-6,
     )
-    config = DownlinkTrialConfig(
+    return DownlinkTrialConfig(
         radar_config=XBAND_9GHZ.with_bandwidth(bandwidth_hz),
         alphabet=alphabet,
         distance_m=distance_m,
         num_frames=NUM_FRAMES,
         payload_symbols_per_frame=SYMBOLS_PER_FRAME,
     )
+
+
+def _run_point(bandwidth_hz, symbol_bits, delta_l_inches, distance_m, execution=None):
+    config = _point_config(bandwidth_hz, symbol_bits, delta_l_inches, distance_m)
     return run_downlink_trials(config, rng=SEED, execution=execution)
 
 
@@ -123,24 +130,29 @@ def test_golden_point_batched_matches(
     case_id, bandwidth_hz, symbol_bits, delta_l_inches, distance_m,
     bit_errors, bits_total, ber, video_snr_db,
 ):
-    """The batched fast path reproduces the same seed-0 pins, any workers.
+    """The engine and the per-frame reference both reproduce the pins.
 
-    This anchors ``batch_frames=True`` to the *same* golden numbers the
-    per-frame oracle pins — batched serial and batched 2-worker both —
-    so a fast-path regression cannot hide behind its own baseline.
+    The engine's stacked-array chunk is the only library path; here it
+    runs serial and 2-worker multi-chunk beside the per-frame reference
+    chunk (``tests/oracle.py``) on the same executor plans, and both must
+    land on the same seed-0 numbers — so neither can drift behind its
+    own baseline.
     """
+    config = _point_config(bandwidth_hz, symbol_bits, delta_l_inches, distance_m)
     for execution in (
-        ExecutionPlan(batch_frames=True),
-        ExecutionPlan(batch_frames=True, workers=2, chunk_size=3),
+        ExecutionPlan(),
+        ExecutionPlan(workers=2, chunk_size=3),
     ):
-        point = _run_point(
-            bandwidth_hz, symbol_bits, delta_l_inches, distance_m,
-            execution=execution,
-        )
+        point = run_downlink_trials(config, rng=SEED, execution=execution)
         assert point.bit_errors == bit_errors
         assert point.bits_total == bits_total
         assert point.ber == ber
         assert point.extra["video_snr_db"] == video_snr_db
+        per_trial, _report = map_trials(
+            oracle.downlink_chunk, config, NUM_FRAMES, SeedSpec.from_rng(SEED), execution
+        )
+        assert sum(trial[0] for trial in per_trial) == bit_errors
+        assert sum(trial[1] for trial in per_trial) == bits_total
 
 
 # -- adaptive Monte-Carlo anchors (PR 8) -------------------------------------

@@ -20,6 +20,8 @@ from repro.sim.executor import ExecutionPlan
 from repro.sim.robustness import RobustnessConfig, run_robustness_sweep
 from repro.sim.scenario import default_office_scenario
 
+import oracle
+
 SEED = 0
 NUM_FRAMES = 4
 SEVERITIES = (0.0, 0.5, 1.0)
@@ -85,17 +87,23 @@ class TestGoldenCurve:
         for name, expected in GOLDEN.items():
             assert getattr(pooled, name) == expected, name
 
-    def test_batched_plan_matches_pins(self):
-        """``batch_frames=True`` reproduces the same seed-0 curve.
+    def test_batched_plan_matches_pins(self, monkeypatch):
+        """The per-frame reference kernels reproduce the same curve.
 
-        The robustness harness runs impairment-laden frames, so where the
-        downlink engine takes the batched path it uses the hybrid
-        per-frame-synthesize / batched-decode route, and engines without a
-        batched path ignore the knob entirely — either way the pinned
-        curve must not move."""
-        batched = _run_curve(execution=ExecutionPlan(batch_frames=True))
+        The ISAC sessions behind the curve capture and score through the
+        library's batch-of-one wrappers (``capture``, ``score_slot`` and
+        friends); swapping in the per-frame reference bodies from
+        ``tests/oracle.py`` must not move a single pin."""
+        from repro.tag.decoder_dsp import TagDecoder
+        from repro.tag.frontend import AnalyticTagFrontend
+
+        monkeypatch.setattr(AnalyticTagFrontend, "capture", oracle.capture)
+        for name in ("score_slot", "classify_slot", "demodulate_data_slot",
+                     "decode_aligned"):
+            monkeypatch.setattr(TagDecoder, name, getattr(oracle, name))
+        reference = _run_curve()
         for name, expected in GOLDEN.items():
-            assert getattr(batched, name) == expected, name
+            assert getattr(reference, name) == expected, name
 
 
 class TestGoldenLocalizationRate:

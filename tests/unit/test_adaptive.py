@@ -31,6 +31,8 @@ from repro.sim.adaptive import (
 from repro.sim.executor import ExecutionPlan
 from repro.utils.rng import SeedSpec
 
+import oracle
+
 
 def _coin_chunk(payload, spec, indices):
     """Synthetic trial: ``bits`` coin flips at error probability ``p``."""
@@ -309,20 +311,21 @@ def test_engine_adaptive_worker_matrix_bit_exact():
 
 
 def test_engine_adaptive_batched_plan_bit_exact():
+    """Adaptive rounds of the engine chunk == rounds of the per-frame reference."""
     from repro.sim.engine import run_downlink_trials
 
     config = _ber_setup(num_frames=24)
     adaptive = AdaptiveConfig(
         target_rel_width=0.6, min_frames=4, max_frames=24, batch_frames=4
     )
-    per_frame = run_downlink_trials(config, rng=0, adaptive=adaptive)
-    batched = run_downlink_trials(
-        config, rng=0, adaptive=adaptive,
-        execution=ExecutionPlan(batch_frames=True),
+    point = run_downlink_trials(config, rng=0, adaptive=adaptive)
+    reference = run_adaptive_trials(
+        oracle.downlink_chunk, config, adaptive, SeedSpec.from_rng(0),
+        ExecutionPlan(), counts=lambda trial: (trial[0], trial[1]),
     )
-    assert batched.bit_errors == per_frame.bit_errors
-    assert batched.bits_total == per_frame.bits_total
-    assert batched.extra["adaptive"] == per_frame.extra["adaptive"]
+    assert point.bit_errors == sum(trial[0] for trial in reference.per_trial)
+    assert point.bits_total == sum(trial[1] for trial in reference.per_trial)
+    assert point.extra["adaptive"] == reference.summary()
 
 
 # -- store fingerprints ------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Differential oracle harness: batched DSP fast path == per-frame reference.
+"""Differential oracle harness: batched DSP kernels == per-frame reference.
 
-Every batched kernel introduced by the frame-batching fast path is pinned
-against its per-frame (or per-slot / per-row) oracle with **bitwise**
-equality — ``np.array_equal``, not ``allclose``.  The per-frame
-implementations are the reference semantics; the batched paths are pure
-reorderings of the same float expressions (stacked matmul with an
-explicit trailing column axis, broadcast elementwise arithmetic,
-``lfilter`` along the last axis), so any drift — however small — is a
-bug, not a tolerance question.
+Every batched kernel is pinned against its per-frame (or per-slot /
+per-row) reference with **bitwise** equality — ``np.array_equal``, not
+``allclose``.  The library keeps one implementation of each downlink
+kernel (the stacked form; the single-frame entry points are batch-of-one
+wrappers); the per-frame bodies it replaced live in ``tests/oracle.py``
+and are the reference semantics.  The batched paths are pure reorderings
+of the same float expressions (stacked matmul with an explicit trailing
+column axis, broadcast elementwise arithmetic, ``lfilter`` along the last
+axis), so any drift — however small — is a bug, not a tolerance question.
 
 Layer by layer:
 
@@ -17,13 +18,15 @@ Layer by layer:
   envelope LPF vs per-row calls, plus the fast-vs-reference envelope and
   many-vs-looped Goertzel cross-checks (those two are *different
   algorithms*, so they get tolerances; everything else is bit-exact);
-* tag frontend (``tag.frontend.capture_batch``) vs sequential
-  ``capture`` under matched RNG streams;
+* tag frontend (``capture_batch`` and its ``capture`` wrapper) vs the
+  reference ``capture`` under matched RNG streams;
 * tag decoder (``tag.decoder_dsp``): ``score_slots`` /
   ``classify_slots`` / ``demodulate_data_slots`` /
-  ``decode_aligned_batch`` vs their singular forms;
-* Monte-Carlo engine: ``_downlink_chunk_batched`` vs ``_downlink_chunk``
-  over SNR pins, clutter, impairment severities and full-sync fallback.
+  ``decode_aligned_batch`` and their single-slot wrappers vs the
+  reference per-slot forms;
+* Monte-Carlo engine: ``_downlink_chunk`` vs the reference
+  ``downlink_chunk`` over SNR pins, clutter, impairment severities,
+  full-sync, full-sync with impairments, and multi-block chunks.
 
 Hypothesis drives the input space (symbol sizes, sample rates, SNRs,
 severities, batch shapes); the derandomized profile keeps runs
@@ -43,16 +46,12 @@ from repro.core.packet import DownlinkPacket
 from repro.errors import ConfigurationError, SimulationError
 from repro.impair.spec import ImpairmentSpec
 from repro.radar.config import XBAND_9GHZ
-from repro.sim.engine import (
-    DownlinkTrialConfig,
-    _downlink_chunk,
-    _downlink_chunk_batched,
-)
+from repro.sim import engine
+from repro.sim.engine import DownlinkTrialConfig, _downlink_chunk
 from repro.tag.decoder_dsp import TagDecoder
 from repro.tag.frontend import AnalyticTagFrontend, TagCapture
 from repro.utils.dsp import (
     SlidingWindowSpec,
-    envelope_rc_lowpass,
     envelope_rc_lowpass_fast,
     goertzel_power,
     goertzel_power_many,
@@ -66,6 +65,8 @@ from repro.waveform.chirp import (
     sample_chirp_real,
 )
 from repro.waveform.parameters import ChirpParameters
+
+import oracle
 
 
 def _alphabet(symbol_bits: int, bandwidth_hz: float = 1e9) -> CsskAlphabet:
@@ -94,7 +95,7 @@ def _trial_config(symbol_bits: int, **overrides) -> DownlinkTrialConfig:
 
 
 def _encoded_frames(config: DownlinkTrialConfig, count: int, seed: int = 0):
-    """(frames, payloads) encoded exactly like the per-frame engine chunk."""
+    """(frames, payloads) encoded exactly like the reference engine chunk."""
     encoder = DownlinkEncoder(
         radar_config=config.radar_config, alphabet=config.alphabet
     )
@@ -281,12 +282,12 @@ class TestEnvelopeBatching:
     def test_fast_matches_reference(self, samples, cutoff):
         fs = 1e6
         fast = envelope_rc_lowpass_fast(samples, fs, cutoff)
-        slow = envelope_rc_lowpass(samples, fs, cutoff)
+        slow = oracle.envelope_rc_lowpass(samples, fs, cutoff)
         assert np.allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
     def test_reference_stays_one_dimensional(self):
         with pytest.raises(ConfigurationError):
-            envelope_rc_lowpass(np.zeros((2, 8)), 1e6, 10e3)
+            oracle.envelope_rc_lowpass(np.zeros((2, 8)), 1e6, 10e3)
 
     def test_empty_rows_pass_through(self):
         out = envelope_rc_lowpass_fast(np.empty((3, 0)), 1e6, 10e3)
@@ -318,14 +319,23 @@ class TestFrontendCaptureBatching:
             snr_override_db=snr_override_db,
         )
         for index, frame in enumerate(frames):
-            reference = frontend.capture(
+            reference = oracle.capture(
+                frontend,
+                frame,
+                distance_m,
+                rng=spec.stream(index),
+                snr_override_db=snr_override_db,
+            )
+            single = frontend.capture(
                 frame,
                 distance_m,
                 rng=spec.stream(index),
                 snr_override_db=snr_override_db,
             )
             assert np.array_equal(batched[index].samples, reference.samples)
+            assert np.array_equal(single.samples, reference.samples)
             assert batched[index].sample_rate_hz == reference.sample_rate_hz
+            assert single.frame is frame
 
     def test_absorptive_and_wrap_paths(self):
         config = _trial_config(3)
@@ -349,15 +359,35 @@ class TestFrontendCaptureBatching:
             off_boresight_deg=15.0,
         )
         for index, frame in enumerate(frames):
-            reference = frontend.capture(
-                frame,
-                4.0,
+            kwargs = dict(
                 rng=spec.stream(index),
                 absorptive_slots=absorb,
                 wrap_fractions=wraps,
                 off_boresight_deg=15.0,
             )
+            reference = oracle.capture(frontend, frame, 4.0, **kwargs)
+            kwargs["rng"] = spec.stream(index)
+            single = frontend.capture(frame, 4.0, **kwargs)
             assert np.array_equal(batched[index].samples, reference.samples)
+            assert np.array_equal(single.samples, reference.samples)
+
+    def test_quantized_captures_match_reference(self):
+        # At 2 m the video peak clears ten ADC steps, so every frame takes
+        # the hot-row quantization branch.
+        config = _trial_config(3)
+        frontend = AnalyticTagFrontend(
+            budget=config.resolved_budget(),
+            delta_t_s=config.alphabet.decoder.delta_t_s,
+        )
+        frames, _ = _encoded_frames(config, count=3, seed=5)
+        spec = SeedSpec.from_rng(5)
+        batched = frontend.capture_batch(
+            frames, 2.0, rngs=[spec.stream(i) for i in range(len(frames))]
+        )
+        for index, frame in enumerate(frames):
+            reference = oracle.capture(frontend, frame, 2.0, rng=spec.stream(index))
+            assert np.array_equal(batched[index].samples, reference.samples)
+        assert all(len(np.unique(capture.samples)) < 64 for capture in batched)
 
     def test_empty_and_ragged_batches_rejected(self):
         config = _trial_config(3)
@@ -396,14 +426,30 @@ class TestDecoderBatching:
         classified = decoder.classify_slots(block, fs)
         symbols, beats = decoder.demodulate_data_slots(block, fs)
         for row in range(batch):
-            per_slot = decoder.score_slot(block[row], fs)
+            per_slot = oracle.score_slot(decoder, block[row], fs)
             assert np.array_equal(
                 scores[row], np.array([entry[3] for entry in per_slot])
             )
-            assert classified[row] == decoder.classify_slot(block[row], fs)
-            symbol, beat = decoder.demodulate_data_slot(block[row], fs)
+            assert decoder.score_slot(block[row], fs) == per_slot
+            reference = oracle.classify_slot(decoder, block[row], fs)
+            assert classified[row] == reference
+            assert decoder.classify_slot(block[row], fs) == reference
+            symbol, beat = oracle.demodulate_data_slot(decoder, block[row], fs)
             assert symbols[row] == symbol
             assert beats[row] == beat
+            assert decoder.demodulate_data_slot(block[row], fs) == (symbol, beat)
+
+    def test_short_and_long_slots_pad_like_reference(self):
+        decoder = TagDecoder(ALPHABETS[5])
+        fs = 1e6
+        rng = np.random.default_rng(4)
+        rows = [rng.normal(size=n) for n in (4, 50, 120, 200)]
+        scores = decoder.score_slots(rows, fs)
+        for row, samples in enumerate(rows):
+            per_slot = oracle.score_slot(decoder, samples, fs)
+            assert np.array_equal(
+                scores[row], np.array([entry[3] for entry in per_slot])
+            )
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -431,17 +477,49 @@ class TestDecoderBatching:
         decoded = decoder.decode_aligned_batch(
             captures, num_payload_symbols=config.payload_symbols_per_frame
         )
-        for capture, batched in zip(captures, decoded):
-            reference = decoder.decode_aligned(
+        from_block = decoder.decode_aligned_batch(
+            np.stack([capture.samples for capture in captures]),
+            sample_rate_hz=captures[0].sample_rate_hz,
+            num_payload_symbols=config.payload_symbols_per_frame,
+        )
+        for capture, batched, blocked in zip(captures, decoded, from_block):
+            reference = oracle.decode_aligned(
+                decoder, capture, num_payload_symbols=config.payload_symbols_per_frame
+            )
+            single = decoder.decode_aligned(
                 capture, num_payload_symbols=config.payload_symbols_per_frame
             )
-            assert np.array_equal(batched.bits, reference.bits)
-            assert batched.symbols == reference.symbols
-            assert np.array_equal(
-                batched.measured_beats_hz, reference.measured_beats_hz
+            for packet in (batched, blocked, single):
+                assert np.array_equal(packet.bits, reference.bits)
+                assert packet.symbols == reference.symbols
+                assert np.array_equal(
+                    packet.measured_beats_hz, reference.measured_beats_hz
+                )
+                assert packet.payload_start_slot == reference.payload_start_slot
+                assert packet.num_sync_slots_seen == reference.num_sync_slots_seen
+
+    def test_truncated_capture_matches_reference(self):
+        # Payload slots past the capture's end: the last one is short
+        # (zero-padded) and the rest are dropped, exactly as per slot.
+        config = _trial_config(5)
+        decoder = TagDecoder(config.alphabet, fields=config.fields)
+        fs = 1e6
+        n_slot = int(round(config.alphabet.chirp_period_s * fs))
+        size = (config.fields.preamble_length + 2) * n_slot + 30
+        samples = np.random.default_rng(9).normal(size=(2, size))
+        decoded = decoder.decode_aligned_batch(
+            samples, sample_rate_hz=fs, num_payload_symbols=6
+        )
+        for row, packet in enumerate(decoded):
+            reference = oracle.decode_aligned(
+                decoder,
+                TagCapture(samples=samples[row], sample_rate_hz=fs),
+                num_payload_symbols=6,
             )
-            assert batched.payload_start_slot == reference.payload_start_slot
-            assert batched.num_sync_slots_seen == reference.num_sync_slots_seen
+            assert len(reference.symbols) == 3
+            assert packet.symbols == reference.symbols
+            assert np.array_equal(packet.bits, reference.bits)
+            assert np.array_equal(packet.measured_beats_hz, reference.measured_beats_hz)
 
     def test_ragged_capture_batches_rejected(self):
         config = _trial_config(3)
@@ -455,6 +533,12 @@ class TestDecoderBatching:
         c = TagCapture(samples=np.zeros(4096), sample_rate_hz=0.5e6)
         with pytest.raises(ValueError):
             decoder.decode_aligned_batch([a, c], num_payload_symbols=4)
+        with pytest.raises(ValueError):
+            decoder.decode_aligned_batch(np.zeros((2, 4096)), num_payload_symbols=4)
+        with pytest.raises(ValueError):
+            decoder.decode_aligned_batch(
+                np.zeros((0, 4096)), sample_rate_hz=1e6, num_payload_symbols=4
+            )
 
 
 ENGINE_VARIANTS = {
@@ -465,7 +549,7 @@ ENGINE_VARIANTS = {
     "full_sync": {"full_sync": True},
     "full_sync_snr_pinned": {"full_sync": True, "snr_override_db": 10.0},
     "full_sync_low_snr": {"full_sync": True, "snr_override_db": -22.0},
-    "full_sync_impaired_fallback": {
+    "full_sync_impaired": {
         "full_sync": True,
         "impairments": ImpairmentSpec.parse("interference:0.5,impulse:0.5"),
     },
@@ -486,7 +570,7 @@ class TestEngineChunkEquivalence:
         config = _trial_config(5, num_frames=6, **ENGINE_VARIANTS[variant])
         spec = SeedSpec.from_rng(0)
         indices = list(range(6))
-        assert _downlink_chunk_batched(config, spec, indices) == _downlink_chunk(
+        assert _downlink_chunk(config, spec, indices) == oracle.downlink_chunk(
             config, spec, indices
         )
 
@@ -495,7 +579,20 @@ class TestEngineChunkEquivalence:
         config = _trial_config(5, num_frames=32)
         spec = SeedSpec.from_rng(3)
         indices = list(range(13, 21))
-        assert _downlink_chunk_batched(config, spec, indices) == _downlink_chunk(
+        assert _downlink_chunk(config, spec, indices) == oracle.downlink_chunk(
+            config, spec, indices
+        )
+
+    @pytest.mark.parametrize("variant", ["plain", "full_sync", "impaired_harsh"])
+    def test_multi_block_chunk_matches_reference(self, monkeypatch, variant):
+        # A byte budget of two frames splits 7 trials into 4 frame blocks
+        # (the last one short); blocking must not move a single bit.
+        config = _trial_config(3, num_frames=7, **ENGINE_VARIANTS[variant])
+        frame_bytes = 8 * engine._DownlinkBatchLayout(config, 1e6).total_samples
+        monkeypatch.setattr(engine, "_FRAME_BLOCK_BYTES", 2 * frame_bytes + 1)
+        spec = SeedSpec.from_rng(2)
+        indices = list(range(4, 11))
+        assert _downlink_chunk(config, spec, indices) == oracle.downlink_chunk(
             config, spec, indices
         )
 
@@ -508,15 +605,15 @@ class TestEngineChunkEquivalence:
         )
         spec = SeedSpec.from_rng(0)
         indices = list(range(8))
-        batched = _downlink_chunk_batched(config, spec, indices)
-        assert batched == _downlink_chunk(config, spec, indices)
+        batched = _downlink_chunk(config, spec, indices)
+        assert batched == oracle.downlink_chunk(config, spec, indices)
         assert sum(r[2] for r in batched) > 0
 
     def test_full_sync_mid_run_chunk_matches_reference(self):
         config = _trial_config(3, num_frames=24, full_sync=True)
         spec = SeedSpec.from_rng(7)
         indices = list(range(9, 17))
-        assert _downlink_chunk_batched(config, spec, indices) == _downlink_chunk(
+        assert _downlink_chunk(config, spec, indices) == oracle.downlink_chunk(
             config, spec, indices
         )
 
@@ -525,9 +622,10 @@ class TestEngineChunkEquivalence:
         st.sampled_from([3, 5]),
         st.floats(min_value=6.0, max_value=16.0),
         st.floats(min_value=0.0, max_value=1.0),
+        st.booleans(),
     )
     def test_equivalence_across_snr_and_severity(
-        self, symbol_bits, snr_db, severity
+        self, symbol_bits, snr_db, severity, full_sync
     ):
         impair = ImpairmentSpec.parse(
             f"interference:{severity:.3f},impulse:{severity:.3f}"
@@ -537,9 +635,10 @@ class TestEngineChunkEquivalence:
             num_frames=3,
             snr_override_db=snr_db,
             impairments=impair,
+            full_sync=full_sync,
         )
         spec = SeedSpec.from_rng(1)
         indices = list(range(3))
-        assert _downlink_chunk_batched(config, spec, indices) == _downlink_chunk(
+        assert _downlink_chunk(config, spec, indices) == oracle.downlink_chunk(
             config, spec, indices
         )
