@@ -367,13 +367,9 @@ def _add_serve(subparsers) -> None:
     parser.add_argument(
         "--resume", action="store_true",
         help="replay incomplete journaled jobs from a previous (crashed) "
-        "server before accepting connections; already-stored points are "
-        "cache hits, only missing points recompute",
-    )
-    parser.add_argument(
-        "--no-journal", action="store_true",
-        help="disable the write-ahead job journal (on by default when "
-        "--cache-dir is set; --resume needs it)",
+        "server before accepting connections; points already in the store "
+        "are skipped, only missing points recompute (needs --cache-dir, "
+        "which also keeps the journal)",
     )
     parser.add_argument(
         "--point-retries", type=_nonnegative_int, default=1,
@@ -827,15 +823,13 @@ def _run_serve(args, out) -> int:
         cache_dir=args.cache_dir,
         execution=plan,
         metrics_port=getattr(args, "metrics_port", None),
-        journal=not args.no_journal,
         resume=args.resume,
         point_retries=args.point_retries,
         point_timeout_s=args.point_timeout,
     )
-    if args.resume and (args.no_journal or args.cache_dir is None):
+    if args.resume and args.cache_dir is None:
         print(
-            "error: --resume requires the journal (a --cache-dir and "
-            "no --no-journal)",
+            "error: --resume requires --cache-dir (the journal lives there)",
             file=out,
         )
         return 2

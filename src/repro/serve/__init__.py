@@ -16,15 +16,16 @@ PR-4 obs metrics registry and store health are exposed via the
 The stack is crash-safe end to end.  Accepted jobs go into a durable
 write-ahead journal (:mod:`repro.serve.journal`) in the cache dir, and
 ``repro serve --resume`` replays a crashed server's incomplete jobs —
-already-stored points come back as cache hits, only missing points
+the store says which points already landed, and only the missing ones
 recompute.  The scheduler quarantines poison points (per-point ``failed``
 frames instead of dead jobs or pools) and abandons+rebuilds around
 stalled workers under ``point_timeout_s``.
 :meth:`repro.serve.client.ServeClient.run_resilient` survives the client
 side: deterministic capped backoff (:class:`BackoffPolicy`) honoring
 ``retry_after_s``, reconnects, and partial-stream resume that requests
-only the missing point indices.  :mod:`repro.serve.chaosproxy` injects
-seed-deterministic network faults to prove all of it in CI.
+only the missing point indices.  The test suite's seed-deterministic
+chaos proxy (``tests/chaosproxy.py``) injects network faults to prove
+all of it in CI.
 
 The determinism contract carries through unchanged: every point is
 computed by the same engine entry points the batch CLI calls, under the
@@ -37,7 +38,6 @@ serve-chaos job).
 """
 
 from repro.errors import ServeConnectionLost, ServeError
-from repro.serve.chaosproxy import ChaosConfig, ChaosProxy, ChaosProxyThread
 from repro.serve.client import BackoffPolicy, JobResult, ServeClient
 from repro.serve.journal import JobJournal, JournalRecord
 from repro.serve.protocol import (
@@ -74,7 +74,4 @@ __all__ = [
     "JobResult",
     "JobJournal",
     "JournalRecord",
-    "ChaosConfig",
-    "ChaosProxy",
-    "ChaosProxyThread",
 ]

@@ -4,14 +4,13 @@ The scheduler (PR 7) is careful about many failure modes — disconnects,
 backpressure, drain — but a *server crash* silently lost every accepted
 job: clients saw a dead socket and the work-in-progress evaporated.  This
 module closes that gap.  Every accepted job is recorded in the cache
-directory **before** its first point reaches the pool (write-ahead), each
-point is marked complete as it is delivered, and the record is removed
-once the whole job has streamed out.  ``repro serve --resume`` replays
-incomplete records on startup: completed points come back instantly from
-the content-addressed store (their results landed before the crash; the
-engines' own fingerprints find them), so only genuinely missing points
-recompute, and the reassembled stream is bit-identical to an
-uninterrupted run.
+directory **before** its first point reaches the pool (write-ahead), and
+the record is removed once the whole job has streamed out — a record on
+disk *is* an incomplete job.  The journal keeps no per-point progress:
+the content-addressed store already holds every delivered point under
+the fingerprint the record captured, so ``repro serve --resume`` derives
+each record's remaining points from the store and schedules only those.
+The reassembled stream is bit-identical to an uninterrupted run.
 
 Records live under ``<cache-root>/journal/<journal_id>.json``, one JSON
 object per file, written with the store's fsync'd atomic-write discipline
@@ -21,7 +20,10 @@ object*, not derived state: replay re-validates it through
 :func:`repro.serve.protocol.parse_job`, and the recomputed per-point
 fingerprints must match the ones journaled on admission (a mismatch means
 the code drifted across the restart, and the record is dropped loudly
-rather than replayed wrong).
+rather than replayed wrong).  Version-1 records (which also carried
+per-point ``completed`` marks and a ``state``) still decode, with those
+keys ignored; a record of any other version is skipped on its own and
+left on disk for the build that wrote it.
 
 Orphans — records whose ``pid`` no longer names a live process — are what
 ``repro cache stats`` counts and ``repro cache clear`` sweeps, mirroring
@@ -38,7 +40,9 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from repro import obs
 from repro.errors import ServeError
+from repro.obs import runtime as _obs_runtime
 
 __all__ = [
     "JOURNAL_SCHEMA_VERSION",
@@ -49,7 +53,11 @@ __all__ = [
     "sweep_orphaned_journal",
 ]
 
-JOURNAL_SCHEMA_VERSION = 1
+JOURNAL_SCHEMA_VERSION = 2
+
+#: Versions :meth:`JournalRecord.decode` reads; a version-1 record's
+#: extra ``completed`` and ``state`` keys are ignored.
+_READABLE_VERSIONS = (1, JOURNAL_SCHEMA_VERSION)
 
 #: Subdirectory of the cache root holding journal records.
 JOURNAL_DIRNAME = "journal"
@@ -77,27 +85,17 @@ class JournalRecord:
     ``job`` is the raw submitted job object (the replay source of truth);
     ``point_indices`` is the optional submit-time subset (a resuming
     client requesting only its gap); ``fingerprints`` are the per-point
-    engine fingerprints computed on admission; ``completed`` holds the
-    indices (positions within ``fingerprints``) already delivered.
+    engine fingerprints computed on admission — the store keys that tell
+    a replay which points already landed.
     """
 
     journal_id: str
     kind: str
     job: "dict[str, Any]"
     fingerprints: "tuple[str, ...]"
-    completed: "tuple[int, ...]" = ()
     point_indices: "tuple[int, ...] | None" = None
-    state: str = "running"
     pid: int = 0
     created_unix: float = 0.0
-
-    def remaining(self) -> "tuple[int, ...]":
-        """Point indices not yet marked complete."""
-        done = set(self.completed)
-        return tuple(
-            index for index in range(len(self.fingerprints))
-            if index not in done
-        )
 
     def encode(self) -> "dict[str, Any]":
         return {
@@ -106,11 +104,9 @@ class JournalRecord:
             "kind": self.kind,
             "job": self.job,
             "fingerprints": list(self.fingerprints),
-            "completed": sorted(self.completed),
             "point_indices": (
                 None if self.point_indices is None else list(self.point_indices)
             ),
-            "state": self.state,
             "pid": self.pid,
             "created_unix": self.created_unix,
         }
@@ -125,10 +121,10 @@ class JournalRecord:
         if not isinstance(data, dict):
             raise ServeError("journal record must be a JSON object")
         version = data.get("schema_version")
-        if version != JOURNAL_SCHEMA_VERSION:
+        if version not in _READABLE_VERSIONS:
             raise ServeError(
                 f"journal record schema_version {version!r} is not supported "
-                f"(this build reads version {JOURNAL_SCHEMA_VERSION}); "
+                f"(this build reads versions {list(_READABLE_VERSIONS)}); "
                 "refusing to guess at its meaning"
             )
         try:
@@ -136,9 +132,7 @@ class JournalRecord:
             kind = data["kind"]
             job = data["job"]
             fingerprints = data["fingerprints"]
-            completed = data["completed"]
             point_indices = data.get("point_indices")
-            state = data["state"]
             pid = data["pid"]
             created_unix = data["created_unix"]
         except KeyError as error:
@@ -149,11 +143,6 @@ class JournalRecord:
             isinstance(item, str) for item in fingerprints
         ):
             raise ServeError("journal record fingerprints must be strings")
-        if not isinstance(completed, list) or not all(
-            isinstance(item, int) and not isinstance(item, bool)
-            for item in completed
-        ):
-            raise ServeError("journal record completed must be integers")
         if point_indices is not None and (
             not isinstance(point_indices, list)
             or not all(
@@ -162,18 +151,14 @@ class JournalRecord:
             )
         ):
             raise ServeError("journal record point_indices must be integers")
-        if state not in ("running", "done"):
-            raise ServeError(f"journal record state {state!r} is not valid")
         return cls(
             journal_id=str(journal_id),
             kind=str(kind),
             job=job,
             fingerprints=tuple(fingerprints),
-            completed=tuple(sorted(completed)),
             point_indices=(
                 None if point_indices is None else tuple(point_indices)
             ),
-            state=str(state),
             pid=int(pid),
             created_unix=float(created_unix),
         )
@@ -192,12 +177,11 @@ class JournalStats:
 class JobJournal:
     """The write-ahead ledger rooted in one cache directory.
 
-    All mutation goes through :func:`repro.store.cache.atomic_write_bytes`
-    (fsync'd temp + rename), so a record on disk is always either the
-    previous or the next complete state — never torn.  One journal object
-    belongs to one server process; ids embed the pid plus a monotonic
-    sequence so concurrent servers sharing a cache directory never
-    collide.
+    Every write goes through :func:`repro.store.cache.atomic_write_bytes`
+    (fsync'd temp + rename), so a record on disk is always complete —
+    never torn.  One journal object belongs to one server process; ids
+    embed the pid plus a monotonic sequence so concurrent servers
+    sharing a cache directory never collide.
     """
 
     def __init__(self, cache_root: "str | os.PathLike[str]") -> None:
@@ -237,26 +221,11 @@ class JobJournal:
             job=job,
             fingerprints=tuple(fingerprints),
             point_indices=point_indices,
-            state="running",
             pid=os.getpid(),
             created_unix=time.time(),
         )
         self._write(record)
         return record
-
-    def mark_complete(self, journal_id: str, index: int) -> None:
-        """Mark one point delivered (read-modify-write, atomic).
-
-        A missing record is tolerated (the job may have been finished by
-        a concurrent delivery or swept externally) — completion marking
-        must never take a live stream down.
-        """
-        record = self.get(journal_id)
-        if record is None or index in record.completed:
-            return
-        self._write(
-            replace(record, completed=tuple(sorted((*record.completed, index))))
-        )
 
     def finish(self, journal_id: str) -> None:
         """Remove a fully-delivered (or explicitly abandoned) job's record."""
@@ -302,8 +271,10 @@ class JobJournal:
         """Every journaled job not yet finished, oldest first.
 
         Unreadable files are skipped (atomic writes make them impossible
-        to *create*, but a journal directory is user-visible disk);
-        unknown schema versions propagate loudly from ``decode``.
+        to *create*, but a journal directory is user-visible disk).  A
+        record ``decode`` rejects — another build's schema — is skipped
+        on its own and logged as ``serve.journal.unreadable``: it stays
+        on disk for the build that wrote it and never hides the rest.
         """
         records = []
         for path in self._paths():
@@ -311,9 +282,14 @@ class JobJournal:
                 data = json.loads(path.read_bytes().decode("utf-8"))
             except (OSError, ValueError, UnicodeDecodeError):
                 continue
-            record = JournalRecord.decode(data)
-            if record.state == "running":
-                records.append(record)
+            try:
+                records.append(JournalRecord.decode(data))
+            except ServeError as error:
+                if _obs_runtime._enabled:
+                    obs.log(
+                        "serve.journal.unreadable",
+                        journal_id=path.stem, error=str(error),
+                    )
         records.sort(key=lambda record: (record.created_unix, record.journal_id))
         return records
 
@@ -348,7 +324,7 @@ def journal_stats(cache_root: "str | os.PathLike[str]") -> JournalStats:
             stats.unreadable += 1
             continue
         stats.entries += 1
-        if record.state == "running" and not _pid_alive(record.pid):
+        if not _pid_alive(record.pid):
             stats.orphaned += 1
             stats.orphan_ids.append(record.journal_id)
     return stats

@@ -503,8 +503,8 @@ def select_points(parsed: ParsedJob, indices: Any) -> ParsedJob:
     still missing, and the server schedules only those.  The selected
     points stream as indices ``0..n-1`` in selection order; mapping them
     back to original positions is the caller's job (the client keeps its
-    ``missing`` list, the journal replay keeps the record's
-    ``remaining()``).  Because selection happens *after* ``parse_job``,
+    ``missing`` list; a journal replay delivers into the store, which
+    needs no mapping).  Because selection happens *after* ``parse_job``,
     each selected point keeps the exact spec — and therefore the exact
     fingerprint — it has in the full job, which is what makes a resumed
     stream bit-identical to an uninterrupted one.

@@ -67,12 +67,10 @@ class ServeConfig:
     #: Bind an HTTP :class:`repro.obs.exporter.MetricsExporter` beside
     #: the line protocol (``0`` = any free port, ``None`` = disabled).
     metrics_port: "int | None" = None
-    #: Keep a write-ahead :class:`repro.serve.journal.JobJournal` of
-    #: accepted jobs in the cache dir (requires ``cache_dir``; on by
-    #: default because it is what makes ``--resume`` possible at all).
-    journal: bool = True
     #: Replay incomplete journal records from a previous (crashed) server
-    #: on startup, before accepting connections.
+    #: on startup, before accepting connections.  The write-ahead
+    #: :class:`repro.serve.journal.JobJournal` is kept whenever
+    #: ``cache_dir`` is set.
     resume: bool = False
     #: Extra compute attempts per point before quarantining it.
     point_retries: int = 1
@@ -111,7 +109,7 @@ class JobServer:
         in-flight points instead of racing the replay.
         """
         journal = None
-        if self.config.journal and self.config.cache_dir is not None:
+        if self.config.cache_dir is not None:
             from repro.serve.journal import JobJournal
 
             journal = JobJournal(self.config.cache_dir)
@@ -155,24 +153,19 @@ class JobServer:
         ``parse_job``, and the recomputed fingerprints must equal the ones
         journaled on admission — a mismatch means the code drifted across
         the restart, and the record is dropped loudly rather than replayed
-        wrong.  Only the record's not-yet-completed points are scheduled;
-        their computes route through the store, so anything that landed
-        before the crash is a cache hit, not a recompute.
+        wrong.  Only the points whose fingerprint the store does not hold
+        are scheduled: anything that landed before the crash is skipped,
+        not recomputed, and a record with nothing missing is retired.
         """
         from repro.errors import ServeError
         from repro.serve.protocol import parse_job, select_points
 
-        try:
-            records = journal.incomplete()
-        except ServeError as error:
-            # A record from a different build must not brick startup;
-            # leave the journal untouched and keep serving.
-            if _obs_runtime._enabled:
-                obs.log("serve.journal.unreadable", error=str(error))
-            return 0
         replayed = 0
-        for record in records:
-            remaining = record.remaining()
+        for record in journal.incomplete():
+            remaining = [
+                index for index, fingerprint in enumerate(record.fingerprints)
+                if not self.store.contains(fingerprint)
+            ]
             if not remaining:
                 journal.finish(record.journal_id)
                 continue
@@ -203,11 +196,11 @@ class JobServer:
             adopted = journal.adopt(record)
             subset = (
                 parsed if len(remaining) == len(parsed.points)
-                else select_points(parsed, list(remaining))
+                else select_points(parsed, remaining)
             )
             self.scheduler.submit(
                 _ReplaySession(), f"replay-{adopted.journal_id}", subset,
-                journal_record=adopted, index_map=remaining, force=True,
+                journal_record=adopted, force=True,
             )
             self.scheduler.counters["journal_replayed"] += 1
             replayed += 1
@@ -216,7 +209,8 @@ class JobServer:
                 obs.log(
                     "serve.journal.replayed",
                     journal_id=adopted.journal_id, kind=adopted.kind,
-                    points=len(remaining), completed=len(adopted.completed),
+                    points=len(remaining),
+                    stored=len(record.fingerprints) - len(remaining),
                 )
         return replayed
 

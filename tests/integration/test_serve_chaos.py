@@ -29,7 +29,7 @@ import time
 import pytest
 
 from repro.errors import ServeConnectionLost, ServeError
-from repro.serve.chaosproxy import ChaosConfig, ChaosProxyThread
+from chaosproxy import ChaosConfig, ChaosProxyThread
 from repro.serve.client import BackoffPolicy, ServeClient
 from repro.serve.journal import JobJournal
 from repro.serve.protocol import MAX_LINE_BYTES, encode_message, parse_job

@@ -4,8 +4,9 @@ Two families:
 
 * **Journal records** — ``encode -> decode`` is the identity over the
   whole representable space (the ledger must survive any job it can
-  record), the JSON layer round-trips byte-stably, and any unknown
-  ``schema_version`` is rejected loudly rather than misread.
+  record), the JSON layer round-trips byte-stably, and any
+  ``schema_version`` this build cannot read is rejected loudly rather
+  than misread.
 * **Backoff schedules** — the delay sequence is a pure function of the
   seed (same seed, same schedule), monotonically bounded by the cap, and
   never below a server-supplied ``retry_after_s`` floor (up to the cap).
@@ -46,9 +47,6 @@ def journal_records(draw):
         min_size=1, max_size=8,
     )))
     count = len(fingerprints)
-    completed = tuple(sorted(draw(st.sets(
-        st.integers(min_value=0, max_value=count - 1), max_size=count,
-    ))))
     point_indices = draw(st.one_of(
         st.none(),
         st.lists(
@@ -61,9 +59,7 @@ def journal_records(draw):
         kind=draw(st.sampled_from(["ber", "ber_sweep", "robustness"])),
         job=draw(_jobs),
         fingerprints=fingerprints,
-        completed=completed,
         point_indices=point_indices,
-        state=draw(st.sampled_from(["running", "done"])),
         pid=draw(st.integers(min_value=0, max_value=2 ** 22)),
         created_unix=draw(st.floats(
             min_value=0.0, max_value=4e9, allow_nan=False,
@@ -86,17 +82,11 @@ class TestJournalRecordProperties:
         wire = json.dumps(record.encode(), sort_keys=True)
         assert JournalRecord.decode(json.loads(wire)) == record
 
-    @given(record=journal_records())
-    def test_remaining_partitions_the_points(self, record):
-        remaining = set(record.remaining())
-        completed = set(record.completed)
-        assert remaining | completed == set(range(len(record.fingerprints)))
-        assert remaining & completed == set()
-
     @given(
         record=journal_records(),
         version=st.one_of(
-            st.integers().filter(lambda v: v != JOURNAL_SCHEMA_VERSION),
+            # Version 1 is still read (see JournalRecord.decode).
+            st.integers().filter(lambda v: v not in (1, JOURNAL_SCHEMA_VERSION)),
             st.none(),
             st.text(max_size=4),
         ),

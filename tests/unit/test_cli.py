@@ -60,6 +60,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--pool-workers", "0"])
 
+    def test_serve_journal_cannot_be_switched_off(self):
+        # The journal is on exactly when there is a --cache-dir.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--no-journal"], out=io.StringIO())
+        assert exit_info.value.code == 2
+
+    def test_serve_resume_requires_cache_dir(self):
+        code, text = run_cli(["serve", "--resume"])
+        assert code == 2
+        assert "--resume requires --cache-dir" in text
+
 
 class TestDesignCommand:
     def test_prints_alphabet(self):
@@ -358,9 +369,7 @@ class TestCacheCommand:
             "kind": "ber",
             "job": {"kind": "ber", "frames": 2},
             "fingerprints": ["f" * 64],
-            "completed": [],
             "point_indices": None,
-            "state": "running",
             "pid": pid,
             "created_unix": 1.0,
         }))

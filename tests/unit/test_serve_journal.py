@@ -2,9 +2,9 @@
 
 Everything here runs against a throwaway cache directory — no server, no
 sockets.  The contracts pinned: write-ahead records are atomic and
-re-readable, completion marking is idempotent and tolerant, unknown
-schema versions are rejected loudly, and orphan detection keys strictly
-on the recording pid being dead.
+re-readable, version-1 records still decode, unknown schema versions are
+rejected loudly (and skipped one record at a time by ``incomplete``),
+and orphan detection keys strictly on the recording pid being dead.
 """
 
 import json
@@ -35,18 +35,21 @@ class TestJournalRecord:
     def test_encode_decode_round_trip(self):
         record = JournalRecord(
             journal_id="abc-1", kind="ber", job=JOB,
-            fingerprints=("f1", "f2", "f3"), completed=(1,),
-            point_indices=(0, 2, 4), state="running", pid=123,
-            created_unix=42.5,
+            fingerprints=("f1", "f2", "f3"), point_indices=(0, 2, 4),
+            pid=123, created_unix=42.5,
         )
         assert JournalRecord.decode(record.encode()) == record
 
-    def test_remaining_excludes_completed(self):
+    def test_version_1_record_decodes_without_its_progress_keys(self):
         record = JournalRecord(
             journal_id="abc-1", kind="ber", job=JOB,
-            fingerprints=("f1", "f2", "f3"), completed=(0, 2),
+            fingerprints=("f1", "f2"), pid=123, created_unix=42.5,
         )
-        assert record.remaining() == (1,)
+        written_by_v1 = {
+            **record.encode(), "schema_version": 1,
+            "completed": [0], "state": "running",
+        }
+        assert JournalRecord.decode(written_by_v1) == record
 
     def test_unknown_schema_version_rejected_loudly(self):
         encoded = JournalRecord(
@@ -71,9 +74,8 @@ class TestJournalRecord:
         for key, value in [
             ("job", "not-a-dict"),
             ("fingerprints", [1, 2]),
-            ("completed", [True]),  # bools are not point indices
+            ("point_indices", [True]),  # bools are not point indices
             ("point_indices", ["0"]),
-            ("state", "bogus"),
         ]:
             broken = dict(base)
             broken[key] = value
@@ -88,22 +90,6 @@ class TestJobJournal:
         on_disk = journal.get(record.journal_id)
         assert on_disk == record
         assert on_disk.pid == os.getpid()
-        assert on_disk.state == "running"
-        assert on_disk.remaining() == (0, 1)
-
-    def test_mark_complete_accumulates_and_is_idempotent(self, tmp_path):
-        journal = make_journal(tmp_path)
-        record = journal.record(
-            kind="ber", job=JOB, fingerprints=["f1", "f2", "f3"]
-        )
-        journal.mark_complete(record.journal_id, 2)
-        journal.mark_complete(record.journal_id, 0)
-        journal.mark_complete(record.journal_id, 2)  # repeat: no-op
-        assert journal.get(record.journal_id).remaining() == (1,)
-
-    def test_mark_complete_tolerates_missing_record(self, tmp_path):
-        journal = make_journal(tmp_path)
-        journal.mark_complete("never-existed", 0)  # must not raise
 
     def test_finish_removes_the_record(self, tmp_path):
         journal = make_journal(tmp_path)
@@ -117,8 +103,15 @@ class TestJobJournal:
         first = journal.record(kind="ber", job=JOB, fingerprints=["f1"])
         second = journal.record(kind="ber", job=JOB, fingerprints=["f2"])
         (journal.root / "garbage.json").write_bytes(b"{not json")
+        # Another build's record is skipped on its own and left intact.
+        foreign = journal.root / "foreign.json"
+        foreign.write_text(json.dumps({
+            **first.encode(), "journal_id": "foreign", "schema_version": 999,
+        }))
+        before = foreign.read_bytes()
         ids = [record.journal_id for record in journal.incomplete()]
         assert ids == [first.journal_id, second.journal_id]
+        assert foreign.read_bytes() == before
 
     def test_adopt_reowns_under_current_pid(self, tmp_path):
         journal = make_journal(tmp_path)
